@@ -68,16 +68,13 @@ class NetworkModel:
                 self.messages_dropped += 1
                 return extra
             d += extra
+        # Deliveries are the hottest entry kind and nothing waits on them,
+        # so they ride the kernel's direct-call lane (no Event objects).
+        # A zero delay still goes through the heap for deterministic order.
         if d == 0:
-            # Still go through the event queue for deterministic ordering.
-            ev = self.env.event()
-            ev.callbacks.append(lambda _e: handler(payload))
-            ev.succeed()
+            self.env.call_soon(handler, payload)
         else:
-            # Pooled: delivery timeouts are the single hottest event type
-            # and nothing retains them past the callback.
-            timeout = self.env.pooled_timeout(d)
-            timeout.callbacks.append(lambda _e: handler(payload))
+            self.env.call_later(d, handler, payload)
         return d
 
 

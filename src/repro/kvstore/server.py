@@ -68,7 +68,12 @@ class Server:
         #: client_id -> Client, wired by the cluster after construction.
         self.clients: dict[int, "Client"] = {}
 
-        self._wakeup = None
+        #: Service-loop state: idle (waiting for work, no step scheduled)
+        #: and parked (crashed, waiting for :meth:`recover`).  Exactly
+        #: one of these holds, or a step (start, outage wait, service
+        #: completion) is pending on the event heap.
+        self._idle = False
+        self._parked = False
         self._current_finish: Optional[float] = None
         self._rate_ewma = EwmaEstimator(rate_alpha, initial=service.base_speed)
 
@@ -86,14 +91,15 @@ class Server:
         #: until :meth:`recover`.
         self.crashed = False
         self.crashes = 0
-        self._recover_event = None
 
         self.ops_served = 0
         self.ops_failed = 0
         self.ops_dropped = 0
         self.probes_answered = 0
         self.busy_time = 0.0
-        self.process = env.process(self._run())
+        # First step at the current instant, where starting a loop
+        # process would have put it.
+        env.call_soon(self._next)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -106,8 +112,9 @@ class Server:
             self.ops_dropped += 1
             return
         self.queue.push(op, self.env.now)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._idle:
+            self._idle = False
+            self.env.call_soon(self._next)
 
     def handle_probe(self, client_id: int) -> None:
         """Network delivery point for a selection probe.
@@ -151,19 +158,18 @@ class Server:
         while len(self.queue):
             self.queue.pop(now)
             self.ops_dropped += 1
-        self._recover_event = self.env.event()
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._idle:
+            self._idle = False
+            self.env.call_soon(self._next)
 
     def recover(self) -> None:
         """Bring a crashed server back, empty-queued, ready to serve."""
         if not self.crashed:
             return
         self.crashed = False
-        event = self._recover_event
-        self._recover_event = None
-        if event is not None and not event.triggered:
-            event.succeed()
+        if self._parked:
+            self._parked = False
+            self.env.call_soon(self._next)
 
     # ------------------------------------------------------------------
     # Service loop
@@ -179,48 +185,60 @@ class Server:
             return self.outages[i][1]
         return None
 
-    def _run(self):
+    def _next(self, _=None) -> None:
+        """One service-loop step: start the next operation or wait.
+
+        Runs as a direct call from the event heap (no process, no wake-up
+        event): at start-up, when work arrives at an idle server, when an
+        outage ends, after each completion, and on recovery.
+        """
         env = self.env
-        while True:
-            if self.crashed:
-                yield self._recover_event
-                continue
-            outage_end = self._outage_end(env.now)
-            if outage_end is not None:
-                yield env.pooled_timeout(outage_end - env.now)
-                continue
-            if len(self.queue) == 0:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            op = self.queue.pop(env.now)
-            op.start_time = env.now
-            epoch = self.crashes
-            ok, size = self._execute(op)
-            service_time = self.service.sample_service_time(size, env.now)
-            self._current_finish = env.now + service_time
-            yield env.pooled_timeout(service_time)
-            self._current_finish = None
-            if self.crashes != epoch:
-                # The process died mid-service; the op dies with it.
-                self.ops_dropped += 1
-                continue
-            op.finish_time = env.now
-            self.busy_time += service_time
-            if self.lanes is not None:
-                lane = op.tag.get("lane")
-                if lane in self.lane_busy_time:
-                    self.lane_busy_time[lane] += service_time
-            # Learn our own effective rate from the completed operation.
-            observed = self.service.rate_sample(op.demand, service_time)
-            self._rate_ewma.update(observed)
-            self.queue.on_service_complete(op, env.now)
-            if ok:
-                self.ops_served += 1
-            else:
-                self.ops_failed += 1
-            self._respond(op, ok, size)
+        if self.crashed:
+            self._parked = True
+            return
+        now = env.now
+        outage_end = self._outage_end(now)
+        if outage_end is not None:
+            env.call_later(outage_end - now, self._next)
+            return
+        if len(self.queue) == 0:
+            self._idle = True
+            return
+        op = self.queue.pop(now)
+        op.start_time = now
+        ok, size = self._execute(op)
+        service_time = self.service.sample_service_time(size, now)
+        self._current_finish = now + service_time
+        env.call_later(
+            service_time, self._finish, (op, self.crashes, ok, size, service_time)
+        )
+
+    def _finish(self, job: tuple) -> None:
+        """Service completion: account, respond, and take the next step."""
+        op, epoch, ok, size, service_time = job
+        self._current_finish = None
+        if self.crashes != epoch:
+            # The server died mid-service; the op dies with it.
+            self.ops_dropped += 1
+            self._next()
+            return
+        now = self.env.now
+        op.finish_time = now
+        self.busy_time += service_time
+        if self.lanes is not None:
+            lane = op.tag.get("lane")
+            if lane in self.lane_busy_time:
+                self.lane_busy_time[lane] += service_time
+        # Learn our own effective rate from the completed operation.
+        observed = self.service.rate_sample(op.demand, service_time)
+        self._rate_ewma.update(observed)
+        self.queue.on_service_complete(op, now)
+        if ok:
+            self.ops_served += 1
+        else:
+            self.ops_failed += 1
+        self._respond(op, ok, size)
+        self._next()
 
     def _execute(self, op: Operation) -> tuple[bool, int]:
         """Run the operation against the storage engine.

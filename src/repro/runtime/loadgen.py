@@ -39,12 +39,21 @@ from repro.workload.popularity import PopularitySpec
 
 @dataclass
 class LoadgenResult:
-    """Outcome of one load-generation run."""
+    """Outcome of one load-generation run.
+
+    In open mode each latency is timed from the request's *due* instant
+    on the arrival schedule, not from when the generator got round to
+    launching it, so a stalled generator cannot hide the wait of the
+    requests that fell due during the stall (coordinated omission).
+    ``lateness`` records, per open-loop launch, how far the launch
+    trailed its due instant (empty in closed mode, where nothing is due).
+    """
 
     latencies: List[float] = field(default_factory=list)
     errors: int = 0
     launched: int = 0
     wall_seconds: float = 0.0
+    lateness: List[float] = field(default_factory=list)
 
     def summary(self) -> SummaryStats:
         if not self.latencies:
@@ -57,6 +66,11 @@ class LoadgenResult:
         if self.wall_seconds <= 0:
             return 0.0
         return len(self.latencies) / self.wall_seconds
+
+    @property
+    def max_lateness(self) -> float:
+        """Worst open-loop launch lag behind schedule, in seconds."""
+        return max(self.lateness, default=0.0)
 
 
 class LoadGenerator:
@@ -147,8 +161,8 @@ class LoadGenerator:
         t0 = time.monotonic()
         virtual_now = 0.0
 
-        async def one(keys: List[str]) -> None:
-            start = time.monotonic()
+        async def one(keys: List[str], due: Optional[float] = None) -> None:
+            start = time.monotonic() if due is None else due
             try:
                 await self.client.multiget(keys)
             except Exception:  # noqa: BLE001 - counted, not raised
@@ -169,13 +183,15 @@ class LoadGenerator:
             if duration is not None and virtual_now > duration:
                 break
             # Sleep until the scheduled launch instant (open loop).
-            delay = virtual_now - (time.monotonic() - t0)
+            due = t0 + virtual_now
+            delay = due - time.monotonic()
             if delay > 0:
                 await asyncio.sleep(delay)
+            result.lateness.append(max(0.0, time.monotonic() - due))
             n = self._fanout.sample()
             indices = self._popularity.sample_distinct(n)
             keys = [self.keys[int(i)] for i in indices]
-            tasks.append(asyncio.create_task(one(keys)))
+            tasks.append(asyncio.create_task(one(keys, due)))
             result.launched += 1
 
         if tasks:

@@ -1,12 +1,13 @@
 """Event primitives for the simulation kernel.
 
 This module is the bottom of the simulator stack (`docs/architecture.md`
-§1): every simulated occurrence — a request arrival, a service completion,
-a network delivery — is an :class:`Event` scheduled on the
+§1): every occurrence something can wait on — a request arrival, an op
+timer, a process finishing — is an :class:`Event` scheduled on the
 :class:`~repro.sim.core.Environment` heap, so its cost bounds how many
-operations per second the experiment harness can simulate
-(``benchmarks/bench_engine.py`` tracks the number).  Event classes
-declare ``__slots__``: millions are created per run and the per-instance
+operations per second the experiment harness can simulate.  (Network
+deliveries and server service steps, which nothing waits on, skip Events
+and use the heap's direct-call lane.)  Event classes declare
+``__slots__``: millions are created per run and the per-instance
 ``__dict__`` they would otherwise carry dominates allocation cost.
 
 Events are one-shot: they start *pending*, become *triggered* exactly once
@@ -20,10 +21,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.eventcore import NORMAL, URGENT  # noqa: F401  (re-exported)
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.core import Environment
+
+#: Scheduling priorities.  URGENT is used for already-triggered events
+#: (succeed/fail/interrupt) so they run before timeouts scheduled for the
+#: same instant; NORMAL is used for timeouts.
+URGENT = 0
+NORMAL = 1
 
 #: Sentinel for "this event has not been given a value yet".
 PENDING = object()

@@ -6,6 +6,7 @@ not hang a protected client, and recovery must need no manual steps.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -31,6 +32,23 @@ from repro.runtime.faults import (
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def _until_breaker_may_probe(client, server_id, deadline_s=5.0):
+    """Wait until ``client``'s breaker for ``server_id`` admits a call.
+
+    Re-checks ``opened_at + reset_timeout`` each time round, because
+    attempts still in flight when the fault clears can fail late and
+    re-open (re-stamp) the breaker.  Fails the test after ``deadline_s``.
+    """
+    breaker = client._breaker(server_id)
+    deadline = time.monotonic() + deadline_s
+    while breaker.state == breaker.OPEN:
+        wait = breaker.opened_at + breaker.reset_timeout - time.monotonic()
+        if wait <= 0:
+            return
+        assert time.monotonic() < deadline, f"breaker {server_id} stayed open"
+        await asyncio.sleep(min(wait, 0.05))
 
 
 def keys_for_server(client, server_id, n, prefix="k"):
@@ -328,7 +346,7 @@ class TestGracefulDegradationChaos:
 
                 # Server 0 restarts; the client reconverges on its own.
                 cluster.clear_faults(0)
-                await asyncio.sleep(0.15)  # let the breaker go half-open
+                await _until_breaker_may_probe(protected, 0)
                 values, report = await protected.multiget(
                     list(items), partial=True
                 )

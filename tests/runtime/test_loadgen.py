@@ -1,6 +1,7 @@
 """Tests for the runtime load generator."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -212,3 +213,54 @@ class TestFromSpec:
                 await cluster.stop()
 
         run(scenario())
+
+
+class StallingClient:
+    """Answers instantly, except one call that blocks the event loop."""
+
+    def __init__(self, stall_on: int, stall_s: float):
+        self.stall_on = stall_on
+        self.stall_s = stall_s
+        self.calls = 0
+
+    async def multiget(self, keys):
+        self.calls += 1
+        if self.calls == self.stall_on:
+            time.sleep(self.stall_s)  # a synchronous stall: nothing else runs
+        return {key: b"" for key in keys}
+
+
+class TestCoordinatedOmission:
+    def test_requests_due_during_a_stall_show_the_wait(self):
+        stall_s = 0.2
+        gen = LoadGenerator(
+            StallingClient(stall_on=5, stall_s=stall_s),
+            [f"k{i}" for i in range(10)],
+            arrivals=DeterministicArrivals(rate=100.0),
+            fanout=FixedFanout(k=1),
+            popularity=UniformPopularity(),
+        )
+        result = run(gen.run(n_requests=40))
+        assert result.launched == 40 and result.errors == 0
+        # The stalled request plus the ~10 due in the stall's first half
+        # (every 10 ms) waited at least 0.1 s past their due instants.
+        # Timed from launch instead, only the stalled one would.
+        assert sum(lat >= 0.1 for lat in result.latencies) >= 10
+        assert max(result.latencies) >= stall_s
+        # The request due 10 ms into the stall launched ~190 ms late.
+        assert len(result.lateness) == 40
+        assert result.max_lateness >= stall_s - 0.02
+        assert min(result.lateness) >= 0.0
+
+    def test_closed_mode_records_no_lateness(self):
+        gen = LoadGenerator(
+            StallingClient(stall_on=0, stall_s=0.0),
+            [f"k{i}" for i in range(10)],
+            arrivals=DeterministicArrivals(rate=100.0),
+            fanout=FixedFanout(k=1),
+            popularity=UniformPopularity(),
+            mode="closed",
+        )
+        result = run(gen.run(n_requests=8))
+        assert len(result.latencies) == 8
+        assert result.lateness == [] and result.max_lateness == 0.0
