@@ -6,6 +6,11 @@ repeatedly pops the queue's pick and executes it.  An optional service
 throttle emulates a bounded-rate backend so scheduling visibly matters in
 demos; production use would set ``byte_rate=None`` and let real storage
 latency be the cost.
+
+Zero-cost operations (no throttle) are served back to back: the worker
+only yields to the event loop when the queue runs dry or after
+``_BURST`` operations in a row, so a flood of them can neither starve
+the loop nor pay a loop round-trip each.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from repro.core.estimator import EwmaEstimator
 from repro.obs import MetricsRegistry, register_queue_gauges
 from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import create_policy
+
+#: Zero-cost operations served in a row before the worker yields.
+_BURST = 64
 
 
 class ExecutorStoppedError(RuntimeError):
@@ -91,7 +99,8 @@ class ScheduledExecutor:
         self._wakeup = asyncio.Event()
         self._worker: Optional[asyncio.Task] = None
         self._stopping = False
-        self._serving = False
+        #: The operation in service, if any.
+        self._current: Optional[QueuedOp] = None
         #: Lane names when the policy built a size-laned queue (dispatch
         #: order changes, the worker does not), else None.
         self.lanes = getattr(self.queue, "lanes", None)
@@ -137,8 +146,8 @@ class ScheduledExecutor:
     async def abort(self) -> None:
         """Halt immediately without draining queued work (crash semantics).
 
-        Queued operations' futures are cancelled so no submitter awaits a
-        result that will never come.
+        Queued operations' futures, and the one in service, are cancelled
+        so no submitter awaits a result that will never come.
         """
         self._stopping = True
         if self._worker is not None:
@@ -148,8 +157,11 @@ class ScheduledExecutor:
             except asyncio.CancelledError:
                 pass
             self._worker = None
+        orphans = [self._current] if self._current is not None else []
+        self._current = None
         while len(self.queue) > 0:
-            op = self.queue.pop(time.monotonic())
+            orphans.append(self.queue.pop(time.monotonic()))
+        for op in orphans:
             if op.done is not None and not op.done.done():
                 op.done.cancel()
 
@@ -173,45 +185,51 @@ class ScheduledExecutor:
 
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        burst = 0
         while True:
             if len(self.queue) == 0:
                 self._wakeup.clear()
                 if self._stopping:
                     return
+                burst = 0
                 await self._wakeup.wait()
                 continue
             op = self.queue.pop(time.monotonic())
             op.start_time = time.monotonic()
-            self._serving = True
+            self._current = op
+            throttled = self.byte_rate is not None and op.demand > 0
             try:
                 result = op.work() if op.work is not None else None
-                if self.byte_rate is not None and op.demand > 0:
+                if throttled:
                     await asyncio.sleep(op.demand)
-                else:
-                    # Yield so a flood of zero-cost ops cannot starve the loop.
-                    await asyncio.sleep(0)
             except Exception as exc:  # noqa: BLE001 - forwarded to the waiter
                 # The queue saw this op leave service even though it
                 # failed; skipping the hook would desynchronize adaptive
                 # state (EWMAs, controller) from reality.
                 op.finish_time = time.monotonic()
-                self._serving = False
+                self._current = None
                 self._ops_failed.inc()
                 self._service_hist.observe(op.finish_time - op.start_time)
                 self.queue.on_service_complete(op, op.finish_time)
                 if not op.done.done():
                     op.done.set_exception(exc)
-                continue
-            op.finish_time = time.monotonic()
-            self._serving = False
-            elapsed = op.finish_time - op.start_time
-            if op.demand > 0 and elapsed > 0:
-                self._rate_ewma.update(op.demand / elapsed)
-            self._ops_executed.inc()
-            self._service_hist.observe(elapsed)
-            self.queue.on_service_complete(op, op.finish_time)
-            if not op.done.done():
-                op.done.set_result(result)
+            else:
+                op.finish_time = time.monotonic()
+                self._current = None
+                elapsed = op.finish_time - op.start_time
+                if op.demand > 0 and elapsed > 0:
+                    self._rate_ewma.update(op.demand / elapsed)
+                self._ops_executed.inc()
+                self._service_hist.observe(elapsed)
+                self.queue.on_service_complete(op, op.finish_time)
+                if not op.done.done():
+                    op.done.set_result(result)
+            if not throttled:
+                burst += 1
+                if burst >= _BURST:
+                    # Bound how long a run of zero-cost ops holds the loop.
+                    burst = 0
+                    await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     @property
@@ -231,7 +249,7 @@ class ScheduledExecutor:
     @property
     def in_flight(self) -> int:
         """Operations queued plus the one currently in service."""
-        return len(self.queue) + (1 if self._serving else 0)
+        return len(self.queue) + (1 if self._current is not None else 0)
 
     def feedback(self) -> Dict[str, float]:
         """Feedback snapshot in the wire-protocol shape."""

@@ -5,6 +5,14 @@ Each server owns a :class:`~repro.kvstore.storage.StorageEngine` and a
 operations into the executor and the response carries the executor's
 feedback snapshot — the runtime realization of piggybacked feedback.
 
+Connections are pipelined: the read loop hands every data message to its
+own task and goes straight back to reading, so the executor's queue holds
+the operations of every request in flight on every connection — which is
+what lets the scheduler order them across requests.  Each reply is
+written, as one frame, when its message's operations finish, so replies
+may leave a connection out of order; the client matches them by id.
+Control-plane messages (``stats``, ``probe``) are answered inline.
+
 For chaos testing, a :class:`~repro.runtime.faults.FaultInjector` can be
 attached: it is consulted when a connection is accepted and once per
 message, and can make the server refuse, stall, delay, or disconnect —
@@ -28,6 +36,7 @@ from repro.kvstore.storage import StorageEngine
 from repro.obs import MetricsRegistry, OpSpan, TRACE_REQUESTED
 from repro.runtime.faults import DELAY, DISCONNECT, DROP, FaultInjector
 from repro.runtime.protocol import (
+    MalformedMessage,
     Message,
     decode_value,
     encode_value,
@@ -37,6 +46,10 @@ from repro.runtime.protocol import (
 from repro.runtime.scheduling import ExecutorStoppedError, QueuedOp, ScheduledExecutor
 
 logger = logging.getLogger(__name__)
+
+#: Message types served through the executor (everything else is
+#: answered inline from the control plane).
+_DATA_TYPES = frozenset(("get", "mget", "put"))
 
 
 class KVServer:
@@ -105,7 +118,8 @@ class KVServer:
         self.load_report_interval = load_report_interval
         self._report_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        #: Open connections and the message tasks in flight on each.
+        self._connections: Dict[asyncio.StreamWriter, Set[asyncio.Task]] = {}
         sid = str(server_id)
         self._c_connections = self.registry.counter(
             "server_connections_total", "Connections accepted", server=sid
@@ -130,7 +144,7 @@ class KVServer:
         self.registry.gauge(
             "server_active_connections",
             "Currently open connections",
-            fn=lambda: len(self._writers),
+            fn=lambda: len(self._connections),
             server=sid,
         )
 
@@ -157,7 +171,7 @@ class KVServer:
     async def stop(self) -> None:
         await self._stop_report_loop()
         await self._close_listener()
-        self._drop_connections()
+        await self._drop_connections()
         await self.executor.stop()
 
     async def crash(self) -> None:
@@ -170,7 +184,7 @@ class KVServer:
         self._c_crashes.inc()
         await self._stop_report_loop()
         await self._close_listener()
-        self._drop_connections()
+        await self._drop_connections()
         await self.executor.abort()
 
     async def restart(self) -> None:
@@ -192,10 +206,16 @@ class KVServer:
             await self._server.wait_closed()
             self._server = None
 
-    def _drop_connections(self) -> None:
-        for writer in list(self._writers):
+    async def _drop_connections(self) -> None:
+        """Sever every connection and end the message tasks in flight."""
+        inflight = []
+        for writer, tasks in self._connections.items():
             writer.close()
-        self._writers.clear()
+            inflight.extend(tasks)
+        self._connections.clear()
+        for task in inflight:
+            task.cancel()
+        await asyncio.gather(*inflight, return_exceptions=True)
 
     async def _stop_report_loop(self) -> None:
         if self._report_task is None:
@@ -224,7 +244,7 @@ class KVServer:
                     "in_flight": self.executor.in_flight,
                 },
             )
-            for writer in list(self._writers):
+            for writer in list(self._connections):
                 try:
                     await write_message(writer, message)
                 except (ConnectionError, OSError):
@@ -246,23 +266,34 @@ class KVServer:
                 await writer.wait_closed()
             return
         self._c_connections.inc()
-        self._writers.add(writer)
+        tasks: Set[asyncio.Task] = set()
+        self._connections[writer] = tasks
+        eof = False
         try:
             while True:
                 try:
                     message = await read_message(reader)
+                except MalformedMessage as exc:
+                    # The frame was whole, so the stream is still in step:
+                    # tell the peer what was wrong and keep serving.
+                    self._c_errors.inc()
+                    reply = self._reply(exc.message_id, error=str(exc))
+                    await write_message(writer, reply)
+                    continue
                 except ProtocolError as exc:
                     logger.warning("protocol error from peer: %s", exc)
                     break
                 if message is None:
+                    eof = True
                     break
                 decision = self.faults.decide(message)
                 if decision.action == DISCONNECT:
                     break
                 if decision.action == DROP:
                     continue
-                reply = await self._serve(message)
                 if decision.action == DELAY:
+                    # Held in the read loop, so the connection's later
+                    # messages wait behind the delay too.
                     delay = decision.delay
                     if decision.delay_per_byte > 0.0:
                         delay += (
@@ -270,73 +301,104 @@ class KVServer:
                             * self._message_value_bytes(message)
                         )
                     await asyncio.sleep(delay)
-                await write_message(writer, reply)
+                if message.type in _DATA_TYPES:
+                    task = asyncio.create_task(self._respond(message, writer))
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+                else:
+                    await write_message(writer, self._control_reply(message))
         except (ConnectionError, OSError):
             pass  # peer went away (or crash() severed us) mid-exchange
         finally:
-            self._writers.discard(writer)
+            # After a clean EOF the peer may still read: answer what it
+            # sent.  Otherwise nobody is left to read the replies.
+            if not eof:
+                for task in tasks:
+                    task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
 
-    async def _serve(self, message: Message) -> Message:
-        extra: Dict[str, Any] = {}
-        try:
-            if message.type == "get":
-                values, spans = await self._do_gets(
-                    [message.fields["key"]], message.fields
-                )
-            elif message.type == "mget":
-                values, spans = await self._do_gets(
-                    list(message.fields["keys"]), message.fields
-                )
-            elif message.type == "put":
-                values, spans = await self._do_put(message.fields)
-            elif message.type == "stats":
-                # Control plane: answered directly, never queued behind
-                # data operations (a scrape must work on a loaded server).
-                values, spans = {}, None
-                extra["stats"] = self.stats()
-            elif message.type == "probe":
-                # Control plane, like stats: a load probe must reflect the
-                # server's congestion *now*, not after waiting out the very
-                # queue it is trying to measure.  The reply's standard
-                # feedback block carries the signals; in_flight adds the
-                # in-service operation the queue length misses.
-                values, spans = {}, None
-                extra["in_flight"] = self.executor.in_flight
-                self._c_probes.inc()
-            else:
-                raise ProtocolError(f"unexpected message type {message.type!r}")
-            ok, error = True, None
-            self._c_ops_served.inc()
-            if spans is not None:
-                extra["spans"] = spans
-        except KeyError as exc:
-            values, ok, error = {}, False, f"missing field {exc}"
-            self._c_errors.inc()
-        except ExecutorStoppedError:
-            values, ok, error = {}, False, "server shutting down"
-            self._c_errors.inc()
-        except ProtocolError as exc:
-            values, ok, error = {}, False, str(exc)
-            self._c_errors.inc()
+    def _reply(
+        self,
+        message_id: int,
+        values: Optional[Dict[str, Any]] = None,
+        error: Optional[str] = None,
+        **extra: Any,
+    ) -> Message:
+        """A reply frame carrying the executor's current feedback."""
         return Message(
             type="reply",
-            id=message.id,
+            id=message_id,
             fields={
-                "ok": ok,
-                "values": values,
+                "ok": error is None,
+                "values": values if values is not None else {},
                 "error": error,
                 "feedback": self.executor.feedback(),
                 **extra,
             },
         )
 
+    async def _respond(self, message: Message, writer: asyncio.StreamWriter) -> None:
+        """Serve one data message and write its reply when it is done."""
+        try:
+            reply = await self._serve(message)
+        except Exception as exc:  # noqa: BLE001 - e.g. an op's work raised
+            # Answer anyway: the peer is waiting on this id, and the
+            # connection keeps serving its other messages.
+            logger.exception("serving message %d failed", message.id)
+            self._c_errors.inc()
+            reply = self._reply(message.id, error=f"internal error: {exc!r}")
+        with contextlib.suppress(ConnectionError, OSError):
+            await write_message(writer, reply)
+
+    def _control_reply(self, message: Message) -> Message:
+        """Answer a control-plane message without queueing it."""
+        if message.type == "stats":
+            # A scrape must work on a loaded server.
+            self._c_ops_served.inc()
+            return self._reply(message.id, stats=self.stats())
+        if message.type == "probe":
+            # A load probe must reflect the server's congestion *now*, not
+            # after waiting out the very queue it is trying to measure.
+            # The standard feedback block carries the signals; in_flight
+            # adds the in-service operation the queue length misses.
+            self._c_ops_served.inc()
+            self._c_probes.inc()
+            return self._reply(message.id, in_flight=self.executor.in_flight)
+        self._c_errors.inc()
+        return self._reply(
+            message.id, error=f"unexpected message type {message.type!r}"
+        )
+
+    async def _serve(self, message: Message) -> Message:
+        # Decoded data messages always carry their body's fields.
+        fields = message.fields
+        try:
+            if message.type == "put":
+                values, spans = await self._do_put(fields)
+            elif message.type == "get":
+                values, spans = await self._do_gets([fields["key"]], fields)
+            else:
+                values, spans = await self._do_gets(fields["keys"], fields)
+        except ExecutorStoppedError:
+            error = "server shutting down"
+        except ProtocolError as exc:
+            error = str(exc)
+        else:
+            self._c_ops_served.inc()
+            if spans is None:
+                return self._reply(message.id, values)
+            return self._reply(message.id, values, spans=spans)
+        self._c_errors.inc()
+        return self._reply(message.id, error=error)
+
     async def _do_gets(self, keys: list, fields: Dict[str, Any]):
-        tags = dict(fields.get("tags", {}))
+        tags = fields["tags"]
         futures = []
         ops = []
         for key in keys:
@@ -370,14 +432,11 @@ class KVServer:
         """
         fields = message.fields
         if message.type == "get":
-            return self._stored_size(fields.get("key", ""))
+            return self._stored_size(fields["key"])
         if message.type == "mget":
-            return sum(self._stored_size(k) for k in fields.get("keys", ()))
+            return sum(self._stored_size(k) for k in fields["keys"])
         if message.type == "put":
-            try:
-                return len(decode_value(fields["value"]))
-            except (KeyError, AttributeError, ProtocolError):
-                return 0
+            return len(fields["value"])
         return 0
 
     def _make_get_work(self, key: str):
@@ -395,7 +454,7 @@ class KVServer:
     async def _do_put(self, fields: Dict[str, Any]):
         key = fields["key"]
         payload = decode_value(fields["value"])
-        tags = dict(fields.get("tags", {}))
+        tags = dict(fields["tags"])
         op = QueuedOp(
             key=key, demand=self._demand(len(payload)), size=len(payload), tag=tags
         )
@@ -411,7 +470,7 @@ class KVServer:
         spans = None
         if tags.get(TRACE_REQUESTED):
             spans = [dataclasses.asdict(OpSpan.from_op(op, server_id=self.server_id))]
-        return {key: True}, spans
+        return {}, spans
 
     # ------------------------------------------------------------------
     # Observability
@@ -441,7 +500,7 @@ class KVServer:
         """
         return {
             "connections_accepted": self.connections,
-            "active_connections": len(self._writers),
+            "active_connections": len(self._connections),
             "probes_answered": int(self._c_probes.value),
             "load_reports_sent": int(self._c_reports.value),
             "ops_served": self.ops_served,

@@ -214,7 +214,7 @@ class TestCrashAndReconnect:
                     await protected.get(key)
                 await cluster.restart(1)
                 assert cluster.servers[1].port == port_before
-                await asyncio.sleep(0.06)  # past the breaker reset window
+                await _until_breaker_may_probe(protected, 1)
                 # No manual reconnect: the dead connection is replaced.
                 assert await protected.get(key) == b"durable"
                 assert protected.stats()["reconnects"] >= 1
@@ -377,7 +377,7 @@ class TestGracefulDegradationChaos:
                 assert set(values) == set(live)
                 assert set(report.failed_servers) == {0}
                 await cluster.restart(0)
-                await asyncio.sleep(0.15)
+                await _until_breaker_may_probe(protected, 0)
                 values, report = await protected.multiget(
                     list(items), partial=True
                 )

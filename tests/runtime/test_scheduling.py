@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.runtime.scheduling import (
+    _BURST,
     ExecutorStoppedError,
     QueuedOp,
     ScheduledExecutor,
@@ -191,6 +192,76 @@ class TestLifecycleRejection:
             await executor.stop()
 
         run(scenario())
+
+
+    def test_abort_cancels_the_op_in_service(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=1.0)
+            await executor.start()
+            future = executor.submit(make_queued_op(demand=60.0))
+            while len(executor.queue) > 0:
+                await asyncio.sleep(0)
+            assert executor.in_flight == 1
+            await executor.abort()
+            assert future.cancelled()
+            assert executor.in_flight == 0
+
+        run(scenario())
+
+
+def service_log(n_ops, byte_rate, demand):
+    """Interleaving of ``n_ops`` served ops ("op") and turns of a task
+    that does nothing but yield ("tick")."""
+
+    async def scenario():
+        executor = ScheduledExecutor(policy_name="fcfs", byte_rate=byte_rate)
+        log = []
+        futures = []
+        for _ in range(n_ops):
+            op = QueuedOp(key="k", demand=demand)
+            op.work = lambda: log.append("op")
+            futures.append(executor.submit(op))
+        done = False
+
+        async def ticker():
+            while not done:
+                log.append("tick")
+                await asyncio.sleep(0)
+
+        tick_task = asyncio.create_task(ticker())
+        await executor.start()
+        await asyncio.gather(*futures)
+        done = True
+        await tick_task
+        await executor.stop()
+        return log
+
+    return run(scenario())
+
+
+def longest_op_run(log):
+    longest = current = 0
+    for entry in log:
+        current = current + 1 if entry == "op" else 0
+        longest = max(longest, current)
+    return longest
+
+
+class TestBackToBackService:
+    def test_zero_cost_ops_run_without_yielding(self):
+        log = service_log(10, byte_rate=None, demand=0.0)
+        assert log.count("op") == 10
+        assert longest_op_run(log) == 10
+
+    def test_zero_cost_runs_yield_after_the_burst_bound(self):
+        log = service_log(3 * _BURST + 5, byte_rate=None, demand=0.0)
+        assert log.count("op") == 3 * _BURST + 5
+        assert longest_op_run(log) == _BURST
+
+    def test_throttled_ops_still_yield_each(self):
+        log = service_log(5, byte_rate=1e6, demand=1e-4)
+        assert log.count("op") == 5
+        assert longest_op_run(log) == 1
 
 
 class TestFailurePath:

@@ -1,9 +1,13 @@
 """Runtime server behaviour on malformed and edge-case requests."""
 
 import asyncio
+import struct
 
 from repro.runtime.protocol import Message, read_message, write_message
 from repro.runtime.server import KVServer
+
+FRAME_HEADER = struct.Struct(">BQ")
+GET_CODE = 1
 
 
 def run(coro):
@@ -29,19 +33,28 @@ class TestServerErrorHandling:
             server = KVServer(scheduler="fcfs", byte_rate=None)
             await server.start()
             try:
-                reply = await raw_call(
-                    server.port, Message(type="get", id=1, fields={})
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
                 )
+                # A get whose header parses but whose body stops short of
+                # the key: the frame is whole, the body is not.
+                body = FRAME_HEADER.pack(GET_CODE, 1) + b"\x00"
+                writer.write(len(body).to_bytes(4, "big") + body)
+                reply = await read_message(reader)
                 assert reply.type == "reply"
+                assert reply.id == 1
                 assert reply.fields["ok"] is False
-                assert "missing field" in reply.fields["error"]
-                # Server still alive for a valid request afterwards.
-                reply2 = await raw_call(
-                    server.port,
-                    Message(type="get", id=2, fields={"key": "ghost"}),
+                assert "malformed get body" in reply.fields["error"]
+                # The same connection still serves a valid request.
+                await write_message(
+                    writer, Message(type="get", id=2, fields={"key": "ghost"})
                 )
+                reply2 = await read_message(reader)
+                assert reply2.id == 2
                 assert reply2.fields["ok"] is True
                 assert reply2.fields["values"]["ghost"] is None
+                writer.close()
+                await writer.wait_closed()
             finally:
                 await server.stop()
 
@@ -52,16 +65,64 @@ class TestServerErrorHandling:
             server = KVServer(scheduler="fcfs", byte_rate=None)
             await server.start()
             try:
+                frame = Message(
+                    type="put", id=1, fields={"key": "k", "value": b"abc"}
+                ).encode()
+                # Claim a longer value than the frame carries.
+                at = frame.index(b"abc") - 4
+                bad = frame[:at] + (1000).to_bytes(4, "big") + frame[at + 4:]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(bad)
+                reply = await read_message(reader)
+                assert reply.fields["ok"] is False
+                assert "malformed put body" in reply.fields["error"]
+                writer.close()
+                await writer.wait_closed()
+                # Nothing was stored, and the server serves a valid put.
+                reply = await raw_call(
+                    server.port, Message(type="get", id=2, fields={"key": "k"})
+                )
+                assert reply.fields["values"]["k"] is None
                 reply = await raw_call(
                     server.port,
-                    Message(
-                        type="put",
-                        id=1,
-                        fields={"key": "k", "value": "!!!not-base64!!!"},
-                    ),
+                    Message(type="put", id=3, fields={"key": "k", "value": b"abc"}),
                 )
+                assert reply.fields["ok"] is True
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_failing_operation_reported_not_fatal(self):
+        async def scenario():
+            server = KVServer(scheduler="fcfs", byte_rate=None)
+            await server.start()
+
+            def broken_put(*args, **kwargs):
+                raise RuntimeError("disk on fire")
+
+            server.storage.put = broken_put
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                await write_message(
+                    writer,
+                    Message(type="put", id=1, fields={"key": "k", "value": b"v"}),
+                )
+                reply = await read_message(reader)
+                assert reply.id == 1
                 assert reply.fields["ok"] is False
-                assert "encoding" in reply.fields["error"]
+                assert "disk on fire" in reply.fields["error"]
+                await write_message(
+                    writer, Message(type="get", id=2, fields={"key": "k"})
+                )
+                reply2 = await read_message(reader)
+                assert reply2.fields["ok"] is True
+                writer.close()
+                await writer.wait_closed()
             finally:
                 await server.stop()
 
